@@ -8,13 +8,15 @@
  * The main() accepts three harness-style flags so tools/run_benches
  * can drive this binary alongside the paper benches: `--quick`
  * (shrink the fixture DAG for a smoke pass), `--threads=N` (workers
- * for the parallel-compile benchmark) and `--json=<file>` (alias for
+ * for the parallel-compile benchmark; anything but an integer >= 1
+ * exits 2, like every other binary) and `--json=<file>` (alias for
  * --benchmark_out=<file> --benchmark_out_format=json). Everything
  * else is passed to google-benchmark untouched.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "compiler/compiler.hh"
 #include "dag/eval.hh"
 #include "sim/machine.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
 
@@ -82,14 +85,36 @@ BM_CompileParallelPartitions(benchmark::State &state)
 }
 BENCHMARK(BM_CompileParallelPartitions)->Unit(benchmark::kMillisecond);
 
+std::vector<double>
+benchInputs(size_t n)
+{
+    Rng rng(1);
+    std::vector<double> in(n);
+    for (auto &x : in)
+        x = 0.5 + rng.uniform();
+    return in;
+}
+
+/** Decode cost alone: Machine construction, paid once per program. */
+void
+BM_SimulateDecode(benchmark::State &state)
+{
+    const auto &prog = benchProgram();
+    for (auto _ : state) {
+        Machine m(prog);
+        benchmark::DoNotOptimize(m);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(prog.instructions.size()));
+}
+BENCHMARK(BM_SimulateDecode)->Unit(benchmark::kMillisecond);
+
+/** One run on an already decoded Machine (the served case). */
 void
 BM_Simulate(benchmark::State &state)
 {
     const auto &prog = benchProgram();
-    Rng rng(1);
-    std::vector<double> in(benchDag().numInputs());
-    for (auto &x : in)
-        x = 0.5 + rng.uniform();
+    std::vector<double> in = benchInputs(benchDag().numInputs());
     Machine m(prog);
     for (auto _ : state) {
         auto res = m.run(in);
@@ -99,6 +124,23 @@ BM_Simulate(benchmark::State &state)
                             int64_t(prog.instructions.size()));
 }
 BENCHMARK(BM_Simulate)->Unit(benchmark::kMillisecond);
+
+/** BM_Simulate on largeConfig(): 256 registers per bank, so the
+ *  free-bitmask priority encoder spans four words per bank. */
+void
+BM_SimulateLarge(benchmark::State &state)
+{
+    static CompiledProgram prog = compile(benchDag(), largeConfig());
+    std::vector<double> in = benchInputs(benchDag().numInputs());
+    Machine m(prog);
+    for (auto _ : state) {
+        auto res = m.run(in);
+        benchmark::DoNotOptimize(res.outputs.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(prog.instructions.size()));
+}
+BENCHMARK(BM_SimulateLarge)->Unit(benchmark::kMillisecond);
 
 void
 BM_EncodeProgram(benchmark::State &state)
@@ -162,8 +204,14 @@ main(int argc, char **argv)
         if (std::strcmp(a, "--quick") == 0) {
             dpu::g_quick = true;
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
-            int n = std::atoi(a + 10);
-            dpu::g_threads = n < 1 ? 1 : static_cast<uint32_t>(n);
+            if (!dpu::parseUint32Arg(a + 10, dpu::g_threads) ||
+                dpu::g_threads < 1) {
+                std::fprintf(stderr,
+                             "invalid value '%s' for --threads "
+                             "(expected an integer >= 1)\n",
+                             a + 10);
+                return 2;
+            }
         } else if (std::strncmp(a, "--json=", 7) == 0) {
             storage.push_back(std::string("--benchmark_out=") +
                               (a + 7));

@@ -48,6 +48,7 @@ renderLanes(std::ostringstream &os, const char *tag,
 struct Renderer
 {
     const ArchConfig &cfg;
+    const WriterTable &writers;
     std::ostringstream os;
 
     void
@@ -169,21 +170,28 @@ struct Renderer
         for (uint32_t b = 0; b < cfg.banks; ++b) {
             if (!in.writeEnable[b])
                 continue;
-            auto writers = writingPes(cfg, b);
+            const auto &mux = writers[b];
             os << " wr b" << b << "<-pe"
-               << writers[in.outputSel[b] % writers.size()];
+               << mux[in.outputSel[b] % mux.size()];
         }
     }
 };
+
+std::string
+render(const ArchConfig &cfg, const WriterTable &writers,
+       const Instruction &instr)
+{
+    Renderer r{cfg, writers, {}};
+    std::visit(r, instr);
+    return r.os.str();
+}
 
 } // namespace
 
 std::string
 disassemble(const ArchConfig &cfg, const Instruction &instr)
 {
-    Renderer r{cfg, {}};
-    std::visit(r, instr);
-    return r.os.str();
+    return render(cfg, writerTable(cfg), instr);
 }
 
 void
@@ -192,10 +200,11 @@ disassembleProgram(const ArchConfig &cfg,
                    std::ostream &out)
 {
     IsaLayout lay(cfg);
+    const WriterTable writers = writerTable(cfg);
     std::array<uint64_t, 6> counts{};
     for (size_t i = 0; i < program.size(); ++i) {
         ++counts[static_cast<size_t>(kindOf(program[i]))];
-        out << i << ": " << disassemble(cfg, program[i]) << "\n";
+        out << i << ": " << render(cfg, writers, program[i]) << "\n";
     }
     out << "; " << program.size() << " instructions, "
         << programSizeBits(cfg, program) << " bits packed (IL="

@@ -64,10 +64,18 @@ writingPes(const ArchConfig &cfg, uint32_t bank)
     return out;
 }
 
-uint32_t
-outputSelectFor(const ArchConfig &cfg, uint32_t bank, uint32_t pe)
+WriterTable
+writerTable(const ArchConfig &cfg)
 {
-    auto writers = writingPes(cfg, bank);
+    WriterTable table(cfg.banks);
+    for (uint32_t b = 0; b < cfg.banks; ++b)
+        table[b] = writingPes(cfg, b);
+    return table;
+}
+
+uint32_t
+outputSelectFor(const std::vector<uint32_t> &writers, uint32_t pe)
+{
     auto it = std::find(writers.begin(), writers.end(), pe);
     dpu_assert(it != writers.end(), "PE cannot write this bank");
     return static_cast<uint32_t>(it - writers.begin());
@@ -77,9 +85,8 @@ uint32_t
 maxWritersPerBank(const ArchConfig &cfg)
 {
     uint32_t best = 0;
-    for (uint32_t b = 0; b < cfg.banks; ++b)
-        best = std::max(
-            best, static_cast<uint32_t>(writingPes(cfg, b).size()));
+    for (const auto &writers : writerTable(cfg))
+        best = std::max(best, static_cast<uint32_t>(writers.size()));
     return best;
 }
 

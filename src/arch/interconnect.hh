@@ -36,12 +36,21 @@ std::vector<uint32_t> writableBanks(const ArchConfig &cfg, uint32_t pe);
 /** PEs that can write bank `bank` (inverse of writableBanks). */
 std::vector<uint32_t> writingPes(const ArchConfig &cfg, uint32_t bank);
 
+/** writingPes(cfg, b) for every bank b, indexed by bank. Entry k of a
+ *  bank's list is the PE its output-mux select value k picks. */
+using WriterTable = std::vector<std::vector<uint32_t>>;
+
+/** Build the writer table once per configuration, so that per-write
+ *  lookups (simulator decode, verifier, finalizer, disassembler) do
+ *  not recompute writingPes. */
+WriterTable writerTable(const ArchConfig &cfg);
+
 /**
- * Mux-select value identifying `pe` among writingPes(cfg, bank), i.e.
+ * Mux-select value identifying `pe` among a bank's `writers`, i.e.
  * what the exec instruction's per-bank output-select field stores.
  * Panics if the PE cannot write the bank.
  */
-uint32_t outputSelectFor(const ArchConfig &cfg, uint32_t bank, uint32_t pe);
+uint32_t outputSelectFor(const std::vector<uint32_t> &writers, uint32_t pe);
 
 /** Widest per-bank writer set, determines the output-select width. */
 uint32_t maxWritersPerBank(const ArchConfig &cfg);

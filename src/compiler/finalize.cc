@@ -26,7 +26,7 @@ class FinalizerImpl
   public:
     FinalizerImpl(const ArchConfig &cfg,
                   ProgramFinalizer::BlockResolver blocks)
-        : cfg(cfg), blockAt(std::move(blocks))
+        : cfg(cfg), writers(writerTable(cfg)), blockAt(std::move(blocks))
     {
         occupant.assign(cfg.banks,
                         std::vector<InstanceId>(cfg.regsPerBank,
@@ -346,7 +346,7 @@ class FinalizerImpl
                 place(w.inst, InstrKind::Exec, in);
                 ex.writeEnable[inst.bank] = true;
                 ex.outputSel[inst.bank] = static_cast<uint16_t>(
-                    outputSelectFor(cfg, inst.bank, inst.writerPe));
+                    outputSelectFor(writers[inst.bank], inst.writerPe));
             }
             for (PeOp op : ex.peOp)
                 if (op == PeOp::Add || op == PeOp::Mul)
@@ -391,6 +391,7 @@ class FinalizerImpl
     }
 
     const ArchConfig &cfg;
+    const WriterTable writers;
     ProgramFinalizer::BlockResolver blockAt;
 
     CompiledProgram prog;

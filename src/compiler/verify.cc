@@ -345,9 +345,7 @@ class ProgramVerifier
 
         banks.assign(cfg.banks,
                      std::vector<Slot>(cfg.regsPerBank));
-        bankWriters.resize(cfg.banks);
-        for (uint32_t b = 0; b < cfg.banks; ++b)
-            bankWriters[b] = writingPes(cfg, b);
+        bankWriters = writerTable(cfg);
 
         checkIoLayout();
         for (now = 0; now < prog.instructions.size(); ++now)
@@ -754,7 +752,7 @@ class ProgramVerifier
     Sink sink;
 
     std::vector<std::vector<Slot>> banks;
-    std::vector<std::vector<uint32_t>> bankWriters;
+    WriterTable bankWriters;
     uint64_t now = 0;
 };
 

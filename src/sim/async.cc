@@ -112,6 +112,10 @@ AsyncBatchServer::addProgram(CompiledProgram program, QosSpec qos,
 {
     if (operations == 0)
         operations = program.stats.numOperations;
+    // Decode once, outside the lock: every batch of this program
+    // shares the decoded form, and a malformed program panics here,
+    // before any core or resident slot is granted.
+    Machine machine(program);
 
     std::lock_guard<std::mutex> lock(mutex);
     if (qos.minCores > config.cores)
@@ -156,9 +160,8 @@ AsyncBatchServer::addProgram(CompiledProgram program, QosSpec qos,
         }
     }
 
-    programs.push_back(Resident{});
+    programs.emplace_back(std::move(program), std::move(machine));
     Resident &r = programs.back();
-    r.prog = std::move(program);
     r.qos = qos;
     r.index = static_cast<uint32_t>(programs.size() - 1);
     r.operations = operations;
@@ -575,7 +578,6 @@ AsyncBatchServer::workerMain()
         ready.erase(ready.begin() + static_cast<ptrdiff_t>(idx));
         CoreSet granted = acquireCoresLocked(batch);
         Resident *resident = batch.resident;
-        const CompiledProgram &prog = resident->prog;
         uint64_t operations = resident->operations;
         // Predict this batch's service time with the calibration as
         // of dispatch: the predicted-vs-actual pair is the
@@ -598,7 +600,8 @@ AsyncBatchServer::workerMain()
         BatchResult br;
         std::exception_ptr error;
         try {
-            br = BatchMachine(prog, RankSet{batch.rank, granted},
+            br = BatchMachine(resident->machine,
+                              RankSet{batch.rank, granted},
                               operations, config.hostThreadsPerBatch,
                               config.transfer)
                      .run(inputs);

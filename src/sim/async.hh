@@ -47,8 +47,9 @@
  * is charged the HostTransferModel's serialization + dispatch cost,
  * accounted per rank in Stats (never touching per-request results).
  *
- * Determinism: a request's SimResult is produced by a private Machine
- * running the resident program on that request's input — nothing about
+ * Determinism: a request's SimResult is produced by one run of the
+ * resident program's Machine (decoded once at addProgram, shared
+ * read-only by every batch) on that request's input — nothing about
  * batch composition, arrival interleaving, window length, deadlines,
  * priorities, core reservations, or host thread counts reaches the
  * simulation. Per-request results are therefore byte-identical across
@@ -436,7 +437,12 @@ class AsyncBatchServer
      *  oldest. */
     struct Resident
     {
+        Resident(CompiledProgram program, Machine decoded)
+            : prog(std::move(program)), machine(std::move(decoded))
+        {}
+
         CompiledProgram prog;
+        Machine machine; ///< `prog`, decoded once at addProgram.
         QosSpec qos;
         uint32_t index = 0;       ///< Position in `programs`.
         uint64_t operations = 0;

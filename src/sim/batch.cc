@@ -17,22 +17,29 @@ BatchMachine::BatchMachine(const CompiledProgram &program, uint32_t n,
 BatchMachine::BatchMachine(const CompiledProgram &program,
                            CoreSet core_set, uint64_t ops,
                            uint32_t host_threads)
-    : prog(program), cores(std::move(core_set)), operations(ops),
-      threads(host_threads < 1 ? 1 : host_threads)
+    : BatchMachine(Machine(program), RankSet{0, std::move(core_set)},
+                   ops, host_threads)
 {
-    dpu_assert(!cores.empty(), "need at least one core");
-    cores.validate();
 }
 
 BatchMachine::BatchMachine(const CompiledProgram &program,
                            RankSet rank_set, uint64_t ops,
                            uint32_t host_threads,
                            HostTransferModel transfer_model)
-    : BatchMachine(program, std::move(rank_set.cores), ops,
-                   host_threads)
+    : BatchMachine(Machine(program), std::move(rank_set), ops,
+                   host_threads, transfer_model)
 {
-    rank = rank_set.rank;
-    transfer = transfer_model;
+}
+
+BatchMachine::BatchMachine(Machine decoded, RankSet rank_set,
+                           uint64_t ops, uint32_t host_threads,
+                           HostTransferModel transfer_model)
+    : machine(std::move(decoded)), cores(std::move(rank_set.cores)),
+      rank(rank_set.rank), transfer(transfer_model), operations(ops),
+      threads(host_threads < 1 ? 1 : host_threads)
+{
+    dpu_assert(!cores.empty(), "need at least one core");
+    cores.validate();
 }
 
 BatchResult
@@ -42,11 +49,11 @@ BatchMachine::run(const std::vector<std::vector<double>> &inputs)
     out.runs.resize(inputs.size());
 
     // Simulate every input into its submission-order slot. Machine
-    // runs are independent (a Machine holds no cross-run state), so
+    // runs are independent (run() keeps no state across calls), so
     // the per-slot results — and everything folded from them below —
     // are identical for any host thread count.
     parallelFor(inputs.size(), threads, [&](size_t k) {
-        out.runs[k] = Machine(prog).run(inputs[k]);
+        out.runs[k] = machine.run(inputs[k]);
     });
 
     // Fold the model-core accounting in submission order: each model
@@ -72,7 +79,7 @@ BatchMachine::run(const std::vector<std::vector<double>> &inputs)
     out.rank = rank;
     if (!out.runs.empty())
         out.transferCycles =
-            transfer.batchCycles(hostTransferBytes(prog),
+            transfer.batchCycles(machine.transferBytes(),
                                  out.runs.size());
     return out;
 }

@@ -10,10 +10,12 @@
  * clock of the simulated machine; independently, the per-input
  * simulations can be spread over a pool of *host* std::thread
  * workers (`threads`). Host threading changes only how fast the
- * simulation itself runs: every input is simulated by a private
- * Machine whose result lands in its submission-order slot, and the
- * cycle accounting is folded afterwards in that order, so the
- * BatchResult is byte-identical for any thread count.
+ * simulation itself runs: the program is decoded once per
+ * BatchMachine (or handed over already decoded, as the server does),
+ * every input is one independent run of that shared Machine whose
+ * result lands in its submission-order slot, and the cycle accounting
+ * is folded afterwards in that order, so the BatchResult is
+ * byte-identical for any thread count.
  */
 
 #ifndef DPU_SIM_BATCH_HH
@@ -111,11 +113,21 @@ class BatchMachine
                  uint64_t operations, uint32_t threads = 1,
                  HostTransferModel transfer_model = {});
 
+    /**
+     * Fleet dispatch of an already decoded program: no decode cost
+     * per batch (a serving resident decodes once at registration).
+     * `machine` must use the default SimOptions for the per-input
+     * results to match the other constructors.
+     */
+    BatchMachine(Machine machine, RankSet rank_set, uint64_t operations,
+                 uint32_t threads = 1,
+                 HostTransferModel transfer_model = {});
+
     /** Run every input vector; inputs are dealt round-robin. */
     BatchResult run(const std::vector<std::vector<double>> &inputs);
 
   private:
-    const CompiledProgram &prog;
+    Machine machine;
     CoreSet cores;
     uint32_t rank = 0;
     HostTransferModel transfer{};

@@ -15,6 +15,27 @@
  * register, or writing a full bank is a panic — the compiler is
  * required to produce hazard-free code, and the simulator is the
  * instrument that proves it.
+ *
+ * Decode once, run many times. The Machine constructor decodes the
+ * program into an immutable, compact form (see DESIGN.md): per exec,
+ * the leaf reads (port, bank, address) and active-PE steps in tree
+ * order, the valid_rst frees, and the writes with the output-mux
+ * writer PE already resolved; per load/store/copy, its lane lists.
+ * run() then only moves values and register state. The checks split
+ * by what they depend on:
+ *
+ *  - at decode (Machine construction; the instruction alone decides):
+ *    field widths, load/store/store_4 row range, register index
+ *    range, copy_4 destination bank, PE opcode, crossbar select
+ *    range, active PE fed by an idle child, valid_rst on a bank the
+ *    exec did not read, output-mux select range, store-back from an
+ *    idle PE, input/output locations inside data memory;
+ *  - at run (the register state decides): read of an invalid
+ *    register, pipeline hazard (data still in flight), write to a
+ *    full bank, valid_rst of an empty register, and the register
+ *    leak check at the end.
+ *
+ * Every failed check throws PanicError.
  */
 
 #ifndef DPU_SIM_MACHINE_HH
@@ -22,6 +43,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/config.hh"
@@ -153,21 +175,35 @@ struct RankSet
     void validate() const { cores.validate(); }
 };
 
-/** The machine. */
+/** A program decoded for the simulator (defined in machine.cc). */
+struct DecodedProgram;
+
+/**
+ * The machine: one program, decoded once, run over any number of
+ * inputs. Copies share the decoded form, so a copy is cheap, and the
+ * Machine does not refer back to the CompiledProgram it was built
+ * from.
+ */
 class Machine
 {
   public:
+    /** Decode `program`; panics on any instruction-level fault (see
+     *  the file header). */
     explicit Machine(const CompiledProgram &program,
                      SimOptions options = {});
 
     /**
      * Execute the program on one input vector (one value per DAG
      * input, in input-id order — same convention as dpu::evaluate).
+     * Thread-safe: all per-run state is private to the call.
      */
-    SimResult run(const std::vector<double> &input_values);
+    SimResult run(const std::vector<double> &input_values) const;
+
+    /** hostTransferBytes() of the decoded program. */
+    uint64_t transferBytes() const;
 
   private:
-    const CompiledProgram &prog;
+    std::shared_ptr<const DecodedProgram> code;
     SimOptions opts;
 };
 

@@ -141,12 +141,15 @@ TEST(Interconnect, OnePerPeIsNearlyOneToOne)
 TEST(Interconnect, OutputSelectIdentifiesPe)
 {
     ArchConfig c = minEdpConfig();
+    WriterTable table = writerTable(c);
+    ASSERT_EQ(table.size(), c.banks);
     for (uint32_t b = 0; b < c.banks; ++b) {
-        auto pes = writingPes(c, b);
+        const auto &pes = table[b];
+        EXPECT_EQ(pes, writingPes(c, b));
         for (uint32_t i = 0; i < pes.size(); ++i)
-            EXPECT_EQ(outputSelectFor(c, b, pes[i]), i);
+            EXPECT_EQ(outputSelectFor(pes, pes[i]), i);
     }
-    EXPECT_THROW(outputSelectFor(c, 0, c.peId({1, 1, 0})), PanicError);
+    EXPECT_THROW(outputSelectFor(table[0], c.peId({1, 1, 0})), PanicError);
 }
 
 /** The paper's example lengths: D=3, B=16, R=32 (fig. 7(a)). */

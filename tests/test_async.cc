@@ -467,6 +467,40 @@ TEST(AsyncServer, QosSpecValidatesCoreBounds)
     expectIdentical(server.submit(h1, in).get(), Machine(prog).run(in));
 }
 
+TEST(AsyncServer, MalformedProgramRejectedBeforeAnyGrant)
+{
+    Dag d = generateRandomDag(10, 200, 77);
+    auto prog = compile(d, smallConfig());
+    // Point the first load past the end of data memory: an
+    // instruction-only fault the decode in addProgram must catch.
+    CompiledProgram bad = prog;
+    bool patched = false;
+    for (Instruction &instr : bad.instructions) {
+        if (auto *ld = std::get_if<LoadInstr>(&instr)) {
+            ld->memRow = bad.numRows;
+            patched = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(patched);
+
+    AsyncServerConfig cfg;
+    cfg.cores = 2;
+    AsyncBatchServer server(cfg);
+    QosSpec all_cores;
+    all_cores.minCores = 2;
+    EXPECT_THROW(server.addProgram(bad, all_cores), PanicError);
+    EXPECT_EQ(server.numPrograms(), 0u);
+
+    // Had the failed call reserved its cores, this reservation could
+    // no longer fit; it gets the first slot and serves normally.
+    auto h = server.addProgram(prog, all_cores);
+    EXPECT_EQ(h, 0u);
+    EXPECT_EQ(server.numPrograms(), 1u);
+    auto in = makeInputs(d, 1, 78)[0];
+    expectIdentical(server.submit(h, in).get(), Machine(prog).run(in));
+}
+
 TEST(AsyncServer, CoreReservationBoundsModeledBatchCores)
 {
     Dag d = generateRandomDag(10, 200, 76);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "compiler/compiler.hh"
 #include "sim/batch.hh"
@@ -310,6 +311,42 @@ TEST(BatchMachine, ThreadCountDoesNotChangeModelClock)
     auto r = four_cores.run(batch);
     // Core 0 gets 2 slices, the rest 1: wall = 2 runs.
     EXPECT_EQ(r.wallCycles, 2 * prog.stats.cycles);
+}
+
+TEST(BatchMachine, SharedMachineAcrossThreadsMatchesIndependentRuns)
+{
+    // One decoded program, run concurrently: Machine::run is const
+    // and keeps every per-run state private, so 4 threads sharing
+    // one Machine over 64 inputs must reproduce independent runs bit
+    // for bit — occupancy trace included.
+    Dag d = generateRandomDag(16, 600, 61);
+    auto prog = compile(d, smallConfig());
+    auto inputs = makeBatch(d, 64, 62);
+    SimOptions opts;
+    opts.traceOccupancy = true;
+    opts.traceInterval = 4;
+
+    const Machine shared(prog, opts);
+    BatchResult concurrent, independent;
+    concurrent.runs.resize(inputs.size());
+    std::vector<std::thread> pool;
+    for (size_t t = 0; t < 4; ++t)
+        pool.emplace_back([&, t] {
+            for (size_t k = t; k < inputs.size(); k += 4)
+                concurrent.runs[k] = shared.run(inputs[k]);
+        });
+    for (std::thread &th : pool)
+        th.join();
+    for (const auto &in : inputs)
+        independent.runs.push_back(Machine(prog, opts).run(in));
+
+    expectIdenticalResults(concurrent, independent);
+    for (size_t k = 0; k < inputs.size(); ++k) {
+        EXPECT_EQ(concurrent.runs[k].stats.occupancyTrace,
+                  independent.runs[k].stats.occupancyTrace);
+        EXPECT_EQ(concurrent.runs[k].stats.traceStride,
+                  independent.runs[k].stats.traceStride);
+    }
 }
 
 } // namespace

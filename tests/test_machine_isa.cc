@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "compiler/program.hh"
 #include "sim/machine.hh"
 
@@ -246,6 +248,134 @@ TEST(MachineIsa, RstWithoutReadPanics)
     prog.push_back(e);
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}}, {}, 1);
     EXPECT_THROW(Machine(p).run({1, 2}), PanicError);
+}
+
+/** Decode (Machine construction, before any run) must reject `p`
+ *  with a panic whose message names `what`. */
+void
+expectDecodePanic(const CompiledProgram &p, const std::string &what)
+{
+    try {
+        Machine m(p);
+        ADD_FAILURE() << "decoded a malformed program; wanted: " << what;
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+/** D=2, one tree of three PEs over four banks. */
+ArchConfig
+deepCfg()
+{
+    ArchConfig c;
+    c.depth = 2;
+    c.banks = 4;
+    c.regsPerBank = 4;
+    c.check();
+    return c;
+}
+
+/** An all-idle D=2 exec over deepCfg(), reading address 0 of every
+ *  bank through the identity crossbar. */
+ExecInstr
+idleExec(const ArchConfig &c)
+{
+    ExecInstr e;
+    e.peOp.assign(c.numPes(), PeOp::Nop);
+    e.inputSel = {0, 1, 2, 3};
+    e.readAddr.assign(c.banks, 0);
+    e.validRst.assign(c.banks, false);
+    e.writeEnable.assign(c.banks, false);
+    e.outputSel.assign(c.banks, 0);
+    return e;
+}
+
+TEST(MachineIsa, BadCrossbarSelectPanicsAtDecode)
+{
+    ArchConfig c = tinyCfg();
+    ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0);
+    e.inputSel[1] = 5; // B = 2
+    auto p = makeProgram(c, {e}, {}, {}, 1);
+    expectDecodePanic(p, "bad crossbar select");
+}
+
+TEST(MachineIsa, IdleChildPanicsAtDecode)
+{
+    ArchConfig c = deepCfg();
+    ExecInstr e = idleExec(c);
+    e.peOp[c.peId({0, 1, 0})] = PeOp::Add;
+    e.peOp[c.peId({0, 2, 0})] = PeOp::Mul; // right child stays idle
+    auto p = makeProgram(c, {e}, {}, {}, 1);
+    expectDecodePanic(p, "active PE fed by idle child");
+}
+
+TEST(MachineIsa, OutputMuxSelectOutOfRangePanicsAtDecode)
+{
+    ArchConfig c = tinyCfg(); // per-layer, D = 1: one writer per bank
+    ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0);
+    e.outputSel[0] = 1;
+    auto p = makeProgram(c, {e}, {}, {}, 1);
+    expectDecodePanic(p, "output mux select out of range");
+}
+
+TEST(MachineIsa, StoreBackFromIdlePePanicsAtDecode)
+{
+    ArchConfig c = deepCfg();
+    ExecInstr e = idleExec(c);
+    e.peOp[c.peId({0, 1, 0})] = PeOp::Add;
+    e.writeEnable[0] = true;
+    e.outputSel[0] = 1; // bank 0's layer-2 writer: the idle root
+    auto p = makeProgram(c, {e}, {}, {}, 1);
+    expectDecodePanic(p, "store-back from an idle PE");
+}
+
+TEST(MachineIsa, MemoryRowOutOfRangePanicsAtDecode)
+{
+    ArchConfig c = tinyCfg();
+    expectDecodePanic(makeProgram(c, {load(2, {0}, c.banks)}, {}, {}, 2),
+                      "load row out of range");
+    expectDecodePanic(
+        makeProgram(c, {store(2, 0, 0, c.banks)}, {}, {}, 2),
+        "store row out of range");
+    Store4Instr st;
+    st.memRow = 2;
+    st.slots[0] = {true, 0, 0};
+    expectDecodePanic(makeProgram(c, {st}, {}, {}, 2),
+                      "store_4 row out of range");
+}
+
+TEST(MachineIsa, RegisterAddressOutOfRangePanicsAtDecode)
+{
+    ArchConfig c = tinyCfg(); // R = 4
+    expectDecodePanic(
+        makeProgram(c, {store(0, 0, 4, c.banks)}, {}, {}, 1),
+        "register index out of range");
+    Store4Instr st;
+    st.slots[0] = {true, 2, 0}; // B = 2
+    expectDecodePanic(makeProgram(c, {st}, {}, {}, 1),
+                      "register index out of range");
+    Copy4Instr cp;
+    cp.validRst.assign(c.banks, false);
+    cp.slots[0] = {true, 1, 9, 0};
+    expectDecodePanic(makeProgram(c, {cp}, {}, {}, 1),
+                      "register index out of range");
+    expectDecodePanic(
+        makeProgram(c, {exec1(c, PeOp::Add, 0, 7, 0)}, {}, {}, 1),
+        "register index out of range");
+}
+
+TEST(MachineIsa, DecodeChecksRunBeforeAnyInstruction)
+{
+    // The first instruction would fault at run time (nothing to
+    // read), but the decode rejects the last one before anything
+    // runs, so the decode diagnostic is the one reported.
+    ArchConfig c = tinyCfg();
+    std::vector<Instruction> prog;
+    prog.push_back(store(0, 0, 0, c.banks));
+    prog.push_back(load(9, {0}, c.banks));
+    expectDecodePanic(makeProgram(c, prog, {}, {}, 1),
+                      "load row out of range");
 }
 
 TEST(MachineIsa, DeepTreeComputesBalancedReduction)
