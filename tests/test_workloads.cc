@@ -18,6 +18,16 @@
 #include "workloads/suite.hh"
 
 namespace dpu {
+
+// GoogleTest prints a parameter into its CTest name. Without this the
+// default byte dump includes std::string heap pointers, so the names of
+// the SuiteTwinTest cases changed from process to process.
+void PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name << " (n=" << spec.paperNodes
+        << ", l=" << spec.paperLongestPath << ")";
+}
+
 namespace {
 
 TEST(SparseMatrix, FromTripletsSortsAndMerges)
