@@ -1,7 +1,6 @@
 #include "model/dse.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -471,36 +470,11 @@ runDseSweep(const DseSweepOptions &options)
     const std::vector<DseGridPoint> grid = expandDseGrid(space);
     const std::string signature = dseSpaceSignature(space);
     const EvalFidelity fid = options.fidelity;
-
-    if (options.refine && fid == EvalFidelity::Cycle)
-        dpu_fatal("DSE refinement sweeps coarse with a fast tier "
-                  "first; --fidelity=cycle leaves nothing to refine "
-                  "(drop refinement or pick table/analytic)");
-    const double refine_err = options.refineErrorBound >= 0
-                                  ? options.refineErrorBound
-                                  : dseDefaultRefineError(fid);
-    if (options.refine && refine_err >= 1.0)
-        dpu_fatal("DSE refinement error bound must be < 1 (a relative "
-                  "energy error that large leaves no interval to "
-                  "decide with)");
-
-    const Evaluator evaluator = options.table
-                                    ? Evaluator(fid, *options.table)
-                                    : Evaluator(fid);
-    const Evaluator cycle_evaluator{EvalFidelity::Cycle};
+    const Evaluator evaluator(fid);
 
     DseSweepResult result;
     result.points.resize(grid.size());
     std::vector<char> have(grid.size(), 0);
-
-    // Cycle-tier journal entries held back for the refinement phase:
-    // phase 1 always works with fast-tier values (so the survivor
-    // selection is identical with or without a resume), but a
-    // survivor whose cycle re-evaluation is already journaled is not
-    // recomputed.
-    std::vector<char> have_cycle(grid.size(), 0);
-    std::vector<DsePoint> cycle_resume(
-        options.refine ? grid.size() : 0);
 
     const bool journaling = !options.journalPath.empty();
     if (options.resume && !journaling)
@@ -518,18 +492,14 @@ runDseSweep(const DseSweepOptions &options)
                 if (index >= grid.size() ||
                     !matchesGridPoint(p, grid[index]))
                     continue;
-                if (p.fidelity == fid) {
-                    if (!have[index])
-                        ++result.resumedPoints;
-                    result.points[index] = p;
-                    have[index] = 1;
-                } else if (options.refine &&
-                           p.fidelity == EvalFidelity::Cycle) {
-                    cycle_resume[index] = p;
-                    have_cycle[index] = 1;
-                }
-                // Entries at any other tier belong to a different
-                // run mode; recomputing is always safe.
+                // Entries at another tier belong to a different run
+                // mode; recomputing them is always safe.
+                if (p.fidelity != fid)
+                    continue;
+                if (!have[index])
+                    ++result.resumedPoints;
+                result.points[index] = p;
+                have[index] = 1;
             }
         } else if (std::ifstream(options.journalPath)) {
             // The path exists but is not a journal (bad header):
@@ -553,11 +523,6 @@ runDseSweep(const DseSweepOptions &options)
         for (size_t i = 0; i < grid.size(); ++i) {
             if (have[i])
                 os << dseJournalPointLine(i, result.points[i]) << "\n";
-            // Keep resumed cycle refinements too: if this run is
-            // killed before its own refinement phase re-appends
-            // them, the next resume can still reuse them.
-            if (i < have_cycle.size() && have_cycle[i])
-                os << dseJournalPointLine(i, cycle_resume[i]) << "\n";
         }
         writeFileAtomically(options.journalPath, os.str());
         journal.open(options.journalPath, std::ios::app);
@@ -607,53 +572,9 @@ runDseSweep(const DseSweepOptions &options)
         result.shardReports[s] = report;
     });
 
-    size_t phase1_evaluated = 0;
-    for (const DseShardReport &r : result.shardReports)
-        phase1_evaluated += r.evaluated;
     if (fid == EvalFidelity::Cycle)
-        result.cycleEvaluatedPoints += phase1_evaluated;
-    else
-        result.fastEvaluatedPoints += phase1_evaluated;
-
-    if (options.refine) {
-        // Phase 2: cycle re-evaluation of the Pareto neighborhood.
-        // The survivor set is computed from the (deterministic)
-        // fast-tier points, so it is identical for every thread /
-        // shard count and across resume boundaries.
-        std::vector<size_t> survivors =
-            dseRefineSurvivors(result.points, refine_err);
-        result.refineSurvivors = survivors.size();
-        std::atomic<size_t> cycle_evals{0};
-        std::atomic<size_t> cycle_resumed{0};
-        parallelFor(survivors.size(), options.threads, [&](size_t k) {
-            size_t i = survivors[k];
-            if (have_cycle[i]) {
-                result.points[i] = cycle_resume[i];
-                ++cycle_resumed;
-            } else {
-                DseEvalCost cost;
-                result.points[i] = evaluateDesign(
-                    grid[i].cfg, suite, grid[i].scale, space.seed,
-                    grid[i].cores, options.cache, &cost,
-                    &cycle_evaluator, space.fleetRanks,
-                    space.transfer, options.verify);
-                ++cycle_evals;
-            }
-            if (journaling) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal << dseJournalPointLine(i, result.points[i])
-                        << "\n";
-                journal.flush();
-                if (!journal)
-                    dpu_fatal("failed writing DSE journal '" +
-                              options.journalPath +
-                              "' (disk full?); checkpoints would be "
-                              "silently lost");
-            }
-        });
-        result.cycleEvaluatedPoints += cycle_evals;
-        result.resumedPoints += cycle_resumed;
-    }
+        for (const DseShardReport &r : result.shardReports)
+            result.cycleEvaluatedPoints += r.evaluated;
 
     if (journaling) {
         journal.close();
@@ -693,67 +614,6 @@ dseDominates(const DsePoint &a, const DsePoint &b)
                   a.energyPerOpPj < b.energyPerOpPj ||
                   a.areaMm2 < b.areaMm2;
     return no_worse && better;
-}
-
-bool
-dseMaybeDominates(const DsePoint &a, const DsePoint &b, double err)
-{
-    if (!a.feasible || !b.feasible)
-        return false;
-    if (a.latencyPerOpNs > b.latencyPerOpNs || a.areaMm2 > b.areaMm2)
-        return false;
-    // Best case for a: its energy at the interval floor, b's at the
-    // ceiling. The strictness clause matters only for exact ties in
-    // all three metrics (then no energy assignment dominates).
-    double a_lo = a.energyPerOpPj / (1.0 + err);
-    double b_hi = b.energyPerOpPj / (1.0 - err);
-    if (a_lo > b_hi)
-        return false;
-    return a.latencyPerOpNs < b.latencyPerOpNs ||
-           a.areaMm2 < b.areaMm2 || a_lo < b_hi;
-}
-
-bool
-dseCertainlyDominates(const DsePoint &a, const DsePoint &b, double err)
-{
-    if (!a.feasible || !b.feasible)
-        return false;
-    if (a.latencyPerOpNs > b.latencyPerOpNs || a.areaMm2 > b.areaMm2)
-        return false;
-    // Worst case for a: its energy at the interval ceiling, b's at
-    // the floor. a_hi <= b_lo is a.energy <= (1-m) * b.energy with
-    // m = 2*err/(1+err).
-    double a_hi = a.energyPerOpPj / (1.0 - err);
-    double b_lo = b.energyPerOpPj / (1.0 + err);
-    if (a_hi > b_lo)
-        return false;
-    return a.latencyPerOpNs < b.latencyPerOpNs ||
-           a.areaMm2 < b.areaMm2 || a_hi < b_lo;
-}
-
-std::vector<size_t>
-dseRefineSurvivors(const std::vector<DsePoint> &points, double err)
-{
-    // A pair the intervals cannot decide contaminates both ends:
-    // resolving b's membership needs the true energy of every a that
-    // might dominate it, and vice versa.
-    std::vector<uint8_t> uncertain(points.size(), 0);
-    for (size_t i = 0; i < points.size(); ++i)
-        for (size_t j = 0; j < points.size(); ++j)
-            if (i != j && dseMaybeDominates(points[i], points[j], err) &&
-                !dseCertainlyDominates(points[i], points[j], err))
-                uncertain[i] = uncertain[j] = 1;
-    std::vector<size_t> survivors;
-    for (size_t i = 0; i < points.size(); ++i)
-        if (uncertain[i])
-            survivors.push_back(i);
-    return survivors;
-}
-
-double
-dseDefaultRefineError(EvalFidelity fidelity)
-{
-    return evalErrorBounds(fidelity).energyRel;
 }
 
 std::vector<size_t>

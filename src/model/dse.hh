@@ -241,27 +241,6 @@ struct DseSweepOptions
     /** Evaluation tier for the sweep (journaled per point). */
     EvalFidelity fidelity = EvalFidelity::Cycle;
 
-    /**
-     * Adaptive refinement: sweep every point at `fidelity` (which
-     * must be a fast tier), then re-evaluate cycle-accurately only
-     * the Pareto neighborhood — the points whose frontier membership
-     * the fast values cannot decide within the tier's error envelope
-     * (see dseRefineSurvivors). The resulting frontier *membership*
-     * is exactly the cycle-accurate frontier whenever the fast tier
-     * honors its declared energy envelope, at a fraction of the
-     * cycle evaluations; certainly-on-frontier points keep their
-     * fast-tier metric values (journaled with their fidelity).
-     */
-    bool refine = false;
-
-    /** Assumed per-point relative energy error of the fast tier for
-     *  the survivor selection; negative = the tier's declared
-     *  envelope (dseDefaultRefineError). Must be < 1. */
-    double refineErrorBound = -1.0;
-
-    /** Explicit rate table for the Table tier (nullptr = builtin). */
-    const TableModel *table = nullptr;
-
     /** Run the static verifier (compiler/verify.hh) on every point
      *  compile. A verifier failure is a compiler bug and aborts the
      *  sweep (VerifyError), never a silent "infeasible" point. Not
@@ -305,16 +284,8 @@ struct DseSweepResult
     size_t resumedPoints = 0;
 
     /** Cycle-accurate point evaluations computed this run (the whole
-     *  grid for a plain cycle sweep; only the refinement survivors
-     *  in refine mode — the quantity refinement exists to shrink). */
+     *  non-resumed grid of a cycle sweep; 0 at the Analytic tier). */
     size_t cycleEvaluatedPoints = 0;
-
-    /** Fast-tier point evaluations computed this run. */
-    size_t fastEvaluatedPoints = 0;
-
-    /** Points selected for cycle re-evaluation in refine mode
-     *  (whether recomputed or resumed from the journal). */
-    size_t refineSurvivors = 0;
 };
 
 /** Run a sharded sweep (see the file header for the contract). */
@@ -332,40 +303,6 @@ std::vector<DsePoint> exploreDesignSpace(const DseOptions &options = {});
  *  area): no worse in all three, strictly better in at least one.
  *  Infeasible points neither dominate nor are comparable. */
 bool dseDominates(const DsePoint &a, const DsePoint &b);
-
-/**
- * Interval domination for the refinement selection. Latency and area
- * are exact at every tier (latency because the no-stall issue makes
- * cycles a compile-time quantity); only energy carries fast-tier
- * error, so with |fast - cycle| / cycle <= err the true energy lies
- * in [fast/(1+err), fast/(1-err)].
- *
- * dseMaybeDominates: `a` could dominate `b` at the cycle tier for
- * *some* energies in the intervals. dseCertainlyDominates: `a`
- * dominates `b` for *all* energies in the intervals (equivalently,
- * a.energy <= (1-m) * b.energy with m = 2*err/(1+err)). Maybe-but-
- * not-certain pairs are exactly the comparisons the fast tier cannot
- * decide.
- */
-bool dseMaybeDominates(const DsePoint &a, const DsePoint &b,
-                       double err);
-bool dseCertainlyDominates(const DsePoint &a, const DsePoint &b,
-                           double err);
-
-/**
- * Indices (ascending) of the refinement survivors: every feasible
- * point involved in at least one maybe-but-not-certain domination
- * pair. Re-evaluating exactly these points cycle-accurately makes
- * every remaining domination decision exact, so the frontier of the
- * mixed vector has exactly the cycle-accurate sweep's membership —
- * the untouched points' relations were already certain.
- */
-std::vector<size_t>
-dseRefineSurvivors(const std::vector<DsePoint> &points, double err);
-
-/** The default refinement error bound for a fast tier: its declared
- *  energy envelope (evalErrorBounds). */
-double dseDefaultRefineError(EvalFidelity fidelity);
 
 /** Indices (ascending) of the Pareto frontier over latency/energy/
  *  area among the feasible points. Empty when nothing is feasible. */

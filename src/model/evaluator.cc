@@ -1,12 +1,10 @@
 #include "model/evaluator.hh"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "support/cli.hh"
-#include "support/flatjson.hh"
 #include "support/logging.hh"
 
 namespace dpu {
@@ -16,98 +14,46 @@ namespace {
 const std::vector<std::string> &
 fidelityNames()
 {
-    static const std::vector<std::string> names = {"cycle", "table",
-                                                   "analytic"};
+    static const std::vector<std::string> names = {"cycle", "analytic"};
     return names;
 }
 
+/** The estimated (data-dependent) SimStats counters, in rate-vector
+ *  order. Everything else in SimStats is statically exact. */
+enum class EvalEvent : uint8_t
+{
+    PeOperations = 0,  ///< Add/Mul ops incl. replicas.
+    PePassThroughs,    ///< Pass ops through partially-filled trees.
+    CrossbarTransfers, ///< Words through the input interconnect.
+    BankReads,
+    BankWrites,
+};
+
+constexpr size_t kNumEvalEvents = 5;
+
+/** Per-event rate vector: estimated counter = rate x driver. */
+using EvalRates = std::array<double, kNumEvalEvents>;
+
 /**
- * The builtin fitted table — byte-identical to data/eval_table.json,
- * both regenerated by
- *
- *     fit_table --scale=0.03 --out=data/eval_table.json
- *
- * (cycle-accurate runs of the pc + sptrsv suite across depth 1-3 x
- * banks 8-32 x regs 32/64; 216 calibration runs).
+ * Static per-event drivers derived from CompileStats. The driver is
+ * the first-order structural source of each event class (PE slots
+ * for PE events, PE slots + copy slots for crossbar traffic, ...);
+ * the rate absorbs the config-dependent constant.
  */
-const char *const kBuiltinTableJson =
-    "{\"eval_table\": 1, \"buckets\": 9}\n"
-    "{\"depth\": 1, \"banks\": 8, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0, \"xbar\": 1.6143289388372595, \"bank_reads\": 1.463138439110741, \"bank_writes\": 1.1349001397806155}\n"
-    "{\"depth\": 1, \"banks\": 16, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0, \"xbar\": 1.7604957305502846, \"bank_reads\": 1.5615384615384615, \"bank_writes\": 1.253495857738378}\n"
-    "{\"depth\": 1, \"banks\": 32, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0, \"xbar\": 1.8460665658093798, \"bank_reads\": 1.6134257838866048, \"bank_writes\": 1.303240223463687}\n"
-    "{\"depth\": 2, \"banks\": 8, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0.4546093804936362, \"xbar\": 1.3804965217946263, \"bank_reads\": 1.32845638409049, \"bank_writes\": 0.9751718022611394}\n"
-    "{\"depth\": 2, \"banks\": 16, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0.4462339123707715, \"xbar\": 1.3998974293223925, \"bank_reads\": 1.3127283033127597, \"bank_writes\": 1.051462541776345}\n"
-    "{\"depth\": 2, \"banks\": 32, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0.4331317676838701, \"xbar\": 1.459306160137185, \"bank_reads\": 1.3388443227026674, \"bank_writes\": 1.111367908539028}\n"
-    "{\"depth\": 3, \"banks\": 8, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0.8188324445691832, \"xbar\": 1.3183784538096568, \"bank_reads\": 1.319425945657965, \"bank_writes\": 0.9455873366892659}\n"
-    "{\"depth\": 3, \"banks\": 16, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0.8111976426015576, \"xbar\": 1.3177874939274066, \"bank_reads\": 1.3271719038817005, \"bank_writes\": 1.0297555120348727}\n"
-    "{\"depth\": 3, \"banks\": 32, \"samples\": 24, \"pe_ops\": 1, \"pe_pass\": 0.796718322698268, \"xbar\": 1.3336563083950446, \"bank_reads\": 1.289985761746559, \"bank_writes\": 1.0779795612836034}\n";
-
-} // namespace
-
-const char *const kFidelityChoicesHelp = "cycle, table or analytic";
-
-const char *
-fidelityName(EvalFidelity f)
+struct EvalDrivers
 {
-    size_t i = static_cast<size_t>(f);
-    dpu_assert(i < kNumFidelities, "fidelity enum out of range");
-    return fidelityNames()[i].c_str();
-}
+    std::array<double, kNumEvalEvents> value{};
 
-bool
-parseFidelityName(const char *s, EvalFidelity &out)
-{
-    size_t index = 0;
-    if (!parseChoiceArg(s, fidelityNames(), index))
-        return false;
-    out = static_cast<EvalFidelity>(index);
-    return true;
-}
-
-EvalErrorBounds
-evalErrorBounds(EvalFidelity f)
-{
-    // Latency is exact by construction at every tier (no-stall issue
-    // makes cycles a compile-time quantity). The energy envelopes are
-    // the measured worst case over the pc + sptrsv suite on a
-    // 36-point depth x banks x regs grid (table 5.9%, analytic 8.9%)
-    // with ~2x headroom; tests/test_evaluator.cc enforces them.
-    switch (f) {
-      case EvalFidelity::Cycle:
-        return {0.0, 0.0};
-      case EvalFidelity::Table:
-        return {0.0, 0.10};
-      case EvalFidelity::Analytic:
-        return {0.0, 0.20};
-    }
-    dpu_panic("fidelity enum out of range");
-}
-
-const char *
-evalEventName(EvalEvent e)
-{
-    switch (e) {
-      case EvalEvent::PeOperations:
-        return "pe_ops";
-      case EvalEvent::PePassThroughs:
-        return "pe_pass";
-      case EvalEvent::CrossbarTransfers:
-        return "xbar";
-      case EvalEvent::BankReads:
-        return "bank_reads";
-      case EvalEvent::BankWrites:
-        return "bank_writes";
-    }
-    dpu_panic("eval event enum out of range");
-}
+    static EvalDrivers of(const CompileStats &stats);
+};
 
 EvalDrivers
 EvalDrivers::of(const CompileStats &stats)
 {
     // First-order structural sources of each estimated event class.
     // PE slots drive the tree events; copy slots add crossbar and
-    // bank traffic; stores read banks, loads write them. The fitted
-    // rate absorbs the remaining config-level constant (replicas,
+    // bank traffic; stores read banks, loads write them. The rate
+    // absorbs the remaining config-level constant (replicas,
     // enabled-slot density, re-reads).
     auto kind = [&stats](InstrKind k) {
         return static_cast<double>(
@@ -131,16 +77,18 @@ EvalDrivers::of(const CompileStats &stats)
     return d;
 }
 
+/** The Analytic tier's fixed global rate vector. */
 EvalRates
 analyticRates()
 {
-    // Fixed global rates: the aggregate event/driver ratios over the
-    // same calibration runs that fitted the builtin table (fit_table
-    // --analytic). Coarse on purpose — Analytic is the "no model
-    // file, no calibration" tier and carries the widest declared
-    // envelope; in particular its depth-blind pe_pass rate is the
-    // dominant error source (pass-throughs range from 0 at depth 1
-    // to ~0.8 per PE slot at depth 3).
+    // Fixed global rates: the aggregate measured-event/driver ratios
+    // of 216 cycle-accurate calibration runs (the pc + sptrsv suite
+    // at scale 0.03 across depth 1-3 x banks 8-32 x regs 32/64),
+    // rounded. Coarse on purpose — the depth-blind pe_pass rate is
+    // the dominant error source (pass-throughs range from 0 at depth
+    // 1 to ~0.8 per PE slot at depth 3).
+    // CrossValidation.FastTiersHonorDeclaredEnvelopes enforces the
+    // resulting 20% energy envelope (evalErrorBounds).
     EvalRates r{};
     r[static_cast<size_t>(EvalEvent::PeOperations)] = 1.0;
     r[static_cast<size_t>(EvalEvent::PePassThroughs)] = 0.42;
@@ -150,217 +98,48 @@ analyticRates()
     return r;
 }
 
-// ---------------------------------------------------------------
-// TableModel
-// ---------------------------------------------------------------
+} // namespace
 
-TableModel
-TableModel::builtin()
+const char *const kFidelityChoicesHelp = "cycle or analytic";
+
+const char *
+fidelityName(EvalFidelity f)
 {
-    TableModel model;
-    std::string error;
-    if (!parse(kBuiltinTableJson, model, &error))
-        dpu_panic("builtin eval table is malformed: " + error);
-    return model;
-}
-
-TableBucket &
-TableModel::bucketFor(uint32_t depth, uint32_t banks)
-{
-    auto pos = std::find_if(table.begin(), table.end(),
-                            [&](const TableBucket &b) {
-                                return b.depth == depth &&
-                                       b.banks == banks;
-                            });
-    if (pos != table.end())
-        return *pos;
-    TableBucket fresh;
-    fresh.depth = depth;
-    fresh.banks = banks;
-    // Keep (depth, banks) order so serialize() is deterministic for
-    // any calibration order.
-    auto at = std::find_if(table.begin(), table.end(),
-                           [&](const TableBucket &b) {
-                               return b.depth > depth ||
-                                      (b.depth == depth &&
-                                       b.banks > banks);
-                           });
-    return *table.insert(at, fresh);
-}
-
-void
-TableModel::addCalibration(const ArchConfig &cfg,
-                           const CompileStats &cstats,
-                           const SimStats &measured)
-{
-    TableBucket &b = bucketFor(cfg.depth, cfg.banks);
-    EvalDrivers d = EvalDrivers::of(cstats);
-    const uint64_t counters[kNumEvalEvents] = {
-        measured.peOperations, measured.pePassThroughs,
-        measured.crossbarTransfers, measured.bankReads,
-        measured.bankWrites};
-    for (size_t e = 0; e < kNumEvalEvents; ++e) {
-        b.events[e] += static_cast<double>(counters[e]);
-        b.drivers[e] += d.value[e];
-    }
-    ++b.samples;
-}
-
-EvalRates
-TableModel::ratesFor(const ArchConfig &cfg) const
-{
-    if (table.empty())
-        return analyticRates();
-
-    // Nearest fitted depth (exact match wins; ties go shallow).
-    uint32_t best_depth = table.front().depth;
-    uint32_t best_dist = ~0u;
-    for (const TableBucket &b : table) {
-        uint32_t dist = b.depth > cfg.depth ? b.depth - cfg.depth
-                                            : cfg.depth - b.depth;
-        if (dist < best_dist) {
-            best_dist = dist;
-            best_depth = b.depth;
-        }
-    }
-
-    // The row is (depth, banks)-sorted, so this walk sees banks in
-    // ascending order: remember the cells bracketing cfg.banks.
-    const TableBucket *lo = nullptr;
-    const TableBucket *hi = nullptr;
-    for (const TableBucket &b : table) {
-        if (b.depth != best_depth)
-            continue;
-        if (b.banks <= cfg.banks)
-            lo = &b;
-        if (b.banks >= cfg.banks && !hi)
-            hi = &b;
-    }
-    dpu_assert(lo || hi, "empty fitted depth row");
-    if (!lo)
-        lo = hi; // below the fitted range: clamp
-    if (!hi)
-        hi = lo; // above the fitted range: clamp
-
-    EvalRates rates{};
-    if (lo == hi || lo->banks == hi->banks) {
-        for (size_t e = 0; e < kNumEvalEvents; ++e)
-            rates[e] = lo->rate(e);
-        return rates;
-    }
-    double t = (std::log2(static_cast<double>(cfg.banks)) -
-                std::log2(static_cast<double>(lo->banks))) /
-               (std::log2(static_cast<double>(hi->banks)) -
-                std::log2(static_cast<double>(lo->banks)));
-    for (size_t e = 0; e < kNumEvalEvents; ++e)
-        rates[e] = lo->rate(e) + t * (hi->rate(e) - lo->rate(e));
-    return rates;
-}
-
-std::string
-TableModel::serialize() const
-{
-    std::ostringstream os;
-    os << "{\"eval_table\": 1, \"buckets\": " << table.size() << "}\n";
-    for (const TableBucket &b : table) {
-        os << "{\"depth\": " << b.depth << ", \"banks\": " << b.banks
-           << ", \"samples\": " << b.samples;
-        for (size_t e = 0; e < kNumEvalEvents; ++e)
-            os << ", \"" << evalEventName(static_cast<EvalEvent>(e))
-               << "\": " << jsonDouble(b.rate(e));
-        os << "}\n";
-    }
-    return os.str();
+    size_t i = static_cast<size_t>(f);
+    dpu_assert(i < kNumFidelities, "fidelity enum out of range");
+    return fidelityNames()[i].c_str();
 }
 
 bool
-TableModel::parse(const std::string &text, TableModel &out,
-                  std::string *error)
+parseFidelityName(const char *s, EvalFidelity &out)
 {
-    auto fail = [error](const std::string &why) {
-        if (error)
-            *error = why;
+    size_t index = 0;
+    if (!parseChoiceArg(s, fidelityNames(), index))
         return false;
-    };
-
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line))
-        return fail("empty table");
-    FlatJsonLine header;
-    uint64_t version = 0, expected = 0;
-    if (!header.parse(line) || !header.getU64("eval_table", version) ||
-        version != 1 || !header.getU64("buckets", expected))
-        return fail("bad table header: " + line);
-
-    TableModel model;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        FlatJsonLine row;
-        uint64_t depth = 0, banks = 0, samples = 0;
-        if (!row.parse(line) || !row.getU64("depth", depth) ||
-            !row.getU64("banks", banks) ||
-            !row.getU64("samples", samples) || depth == 0 ||
-            banks == 0)
-            return fail("bad table bucket: " + line);
-        TableBucket b;
-        b.depth = static_cast<uint32_t>(depth);
-        b.banks = static_cast<uint32_t>(banks);
-        b.samples = samples;
-        for (size_t e = 0; e < kNumEvalEvents; ++e) {
-            double rate = 0.0;
-            if (!row.getDouble(
-                    evalEventName(static_cast<EvalEvent>(e)), rate) ||
-                rate < 0)
-                return fail("bad table bucket: " + line);
-            // Rate-preserving reconstruction: events/drivers = rate,
-            // so a parse -> serialize round trip is byte-identical.
-            b.events[e] = rate;
-            b.drivers[e] = 1.0;
-        }
-        TableBucket &slot = model.bucketFor(b.depth, b.banks);
-        if (slot.samples)
-            return fail("duplicate table bucket: " + line);
-        slot = b;
-    }
-    if (model.table.size() != expected)
-        return fail("table bucket count mismatch: header says " +
-                    std::to_string(expected) + ", found " +
-                    std::to_string(model.table.size()));
-    out = std::move(model);
+    out = static_cast<EvalFidelity>(index);
     return true;
 }
 
-TableModel
-TableModel::load(const std::string &path)
+EvalErrorBounds
+evalErrorBounds(EvalFidelity f)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        dpu_fatal("cannot open eval table '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    TableModel model;
-    std::string error;
-    if (!parse(text.str(), model, &error))
-        dpu_fatal("eval table '" + path + "': " + error);
-    return model;
+    // Latency is exact by construction at every tier (no-stall issue
+    // makes cycles a compile-time quantity). The Analytic energy
+    // envelope is the measured worst case over the pc + sptrsv suite
+    // on a 36-point depth x banks x regs grid (8.9%) with ~2x
+    // headroom; tests/test_evaluator.cc enforces it.
+    switch (f) {
+      case EvalFidelity::Cycle:
+        return {0.0, 0.0};
+      case EvalFidelity::Analytic:
+        return {0.0, 0.20};
+    }
+    dpu_panic("fidelity enum out of range");
 }
 
 // ---------------------------------------------------------------
 // Evaluator
 // ---------------------------------------------------------------
-
-Evaluator::Evaluator(EvalFidelity fidelity) : fid(fidelity)
-{
-    if (fid == EvalFidelity::Table)
-        tbl = TableModel::builtin();
-}
-
-Evaluator::Evaluator(EvalFidelity fidelity, TableModel table)
-    : fid(fidelity), tbl(std::move(table))
-{
-}
 
 SimStats
 Evaluator::run(const CompiledProgram &prog,
@@ -369,7 +148,7 @@ Evaluator::run(const CompiledProgram &prog,
 {
     if (fid == EvalFidelity::Cycle)
         return Machine(prog, options).run(inputs).stats;
-    // Fast tiers honor the same transfer model the Machine would
+    // Analytic honors the same transfer model the Machine would
     // charge; its cost is static, so the agreement is exact.
     return estimate(prog, options.transfer);
 }
@@ -378,8 +157,8 @@ SimStats
 Evaluator::estimate(const CompiledProgram &prog) const
 {
     if (fid == EvalFidelity::Cycle)
-        dpu_fatal("estimate() needs a fast tier; the cycle tier has "
-                  "no static estimate — call run()");
+        dpu_fatal("estimate() needs the analytic tier; the cycle tier "
+                  "has no static estimate — call run()");
 
     const CompileStats &c = prog.stats;
     SimStats s;
@@ -397,8 +176,7 @@ Evaluator::estimate(const CompiledProgram &prog) const
 
     // The estimated part: the five data-dependent counters, each
     // rate x driver.
-    EvalRates rates = fid == EvalFidelity::Table ? tbl.ratesFor(prog.cfg)
-                                                 : analyticRates();
+    EvalRates rates = analyticRates();
     EvalDrivers d = EvalDrivers::of(c);
     auto est = [&rates, &d](EvalEvent e) {
         size_t i = static_cast<size_t>(e);

@@ -1,21 +1,14 @@
 /**
  * @file
- * Tiered-fidelity evaluation (the ROADMAP "fast-path simulator
- * tiers" lever). Every cost estimate in the repo used to funnel
- * through the cycle-accurate sim/machine; the Evaluator makes the
- * fidelity a per-call choice:
+ * Tiered-fidelity evaluation. The Evaluator makes the evaluation
+ * fidelity a per-call choice between two tiers:
  *
  *  - Cycle    — wraps Machine::run unchanged. Ground truth.
- *  - Table    — static estimate whose event rates come from a lookup
- *               model fitted against cycle-accurate calibration runs
- *               (per depth x banks bucket, interpolated in
- *               log2(banks)). Serializable to flat JSON so a fitted
- *               table ships with the repo (data/eval_table.json) and
- *               regenerates via tools/fit_table.
  *  - Analytic — static estimate with fixed global event rates; no
- *               table, no calibration, widest error envelope.
+ *               simulation. AsyncBatchServer admission uses it to
+ *               predict a request without running it.
  *
- * What makes the fast tiers cheap is that most of SimStats is
+ * What makes the Analytic tier cheap is that most of SimStats is
  * statically exact: the sim issues one instruction per cycle with no
  * stalls, so cycles == CompileStats::cycles, the instruction mix,
  * data-memory row traffic and instruction-memory bits are all fixed
@@ -23,19 +16,17 @@
  * ops including replicas, pass-throughs, crossbar transfers, bank
  * reads/writes) need a model — each is estimated as
  * rate x static-driver, and those feed only the per-event terms of
- * energyOf. Latency from a fast tier is therefore *exact*; the tier
- * error lives entirely in energy.
+ * energyOf. Latency from the Analytic tier is therefore *exact*; the
+ * tier error lives entirely in energy.
  *
- * Declared error envelopes (evalErrorBounds) are cross-validated
+ * The declared error envelope (evalErrorBounds) is cross-validated
  * against Cycle over the workload suite by tests/test_evaluator.cc.
  */
 
 #ifndef DPU_MODEL_EVALUATOR_HH
 #define DPU_MODEL_EVALUATOR_HH
 
-#include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "arch/config.hh"
@@ -48,14 +39,13 @@ namespace dpu {
 enum class EvalFidelity : uint8_t
 {
     Cycle = 0,   ///< Cycle-accurate Machine::run.
-    Table = 1,   ///< Fitted lookup model (calibrated rates).
-    Analytic = 2 ///< Fixed-rate closed-form estimate.
+    Analytic = 1 ///< Fixed-rate closed-form estimate.
 };
 
-inline constexpr size_t kNumFidelities = 3;
+inline constexpr size_t kNumFidelities = 2;
 
-/** Stable lower-case tier name ("cycle" / "table" / "analytic") —
- *  the CLI and journal spelling. */
+/** Stable lower-case tier name ("cycle" / "analytic") — the CLI and
+ *  journal spelling. */
 const char *fidelityName(EvalFidelity f);
 
 /** Strict inverse of fidelityName (exact match only). */
@@ -79,138 +69,32 @@ struct EvalErrorBounds
 
 EvalErrorBounds evalErrorBounds(EvalFidelity f);
 
-/** The estimated (data-dependent) SimStats counters, in rate-vector
- *  order. Everything else in SimStats is statically exact. */
-enum class EvalEvent : uint8_t
-{
-    PeOperations = 0,  ///< Add/Mul ops incl. replicas.
-    PePassThroughs,    ///< Pass ops through partially-filled trees.
-    CrossbarTransfers, ///< Words through the input interconnect.
-    BankReads,
-    BankWrites,
-};
-
-inline constexpr size_t kNumEvalEvents = 5;
-
-const char *evalEventName(EvalEvent e);
-
-/** Per-event rate vector: estimated counter = rate x driver. */
-using EvalRates = std::array<double, kNumEvalEvents>;
-
 /**
- * Static per-event drivers derived from CompileStats. The driver is
- * the first-order structural source of each event class (PE slots
- * for PE events, PE slots + copy slots for crossbar traffic, ...);
- * the fitted rate absorbs the config-dependent constant.
- */
-struct EvalDrivers
-{
-    std::array<double, kNumEvalEvents> value{};
-
-    static EvalDrivers of(const CompileStats &stats);
-};
-
-/** One fitted calibration bucket (a depth x banks cell). */
-struct TableBucket
-{
-    uint32_t depth = 1;
-    uint32_t banks = 8;
-    uint64_t samples = 0; ///< Calibration runs folded in.
-
-    /** Accumulated measured events / accumulated driver units; the
-     *  fitted rate is their ratio. */
-    std::array<double, kNumEvalEvents> events{};
-    std::array<double, kNumEvalEvents> drivers{};
-
-    double
-    rate(size_t e) const
-    {
-        return drivers[e] > 0 ? events[e] / drivers[e] : 0.0;
-    }
-};
-
-/**
- * The Table tier's lookup model: fitted rate buckets over the
- * (depth, banks) plane. Regs does not get an axis — its effects flow
- * through the compiled program (spills, nops) and are therefore
- * already inside the static drivers.
- */
-class TableModel
-{
-  public:
-    /** The fitted table shipped with the repo (tools/fit_table
-     *  regenerates it; data/eval_table.json is the same content). */
-    static TableModel builtin();
-
-    bool empty() const { return table.empty(); }
-    size_t size() const { return table.size(); }
-    const std::vector<TableBucket> &buckets() const { return table; }
-
-    /** Fold one cycle-accurate calibration run into the bucket for
-     *  `cfg` (created on first use). */
-    void addCalibration(const ArchConfig &cfg, const CompileStats &cstats,
-                        const SimStats &measured);
-
-    /**
-     * Fitted rates for a configuration: nearest-depth bucket row,
-     * linearly interpolated in log2(banks) between the bracketing
-     * banks cells (clamped outside the fitted range). Falls back to
-     * the Analytic rates when the table is empty.
-     */
-    EvalRates ratesFor(const ArchConfig &cfg) const;
-
-    /** Flat-JSON-lines rendering (header line + one line per
-     *  bucket); byte-stable across serialize/parse round trips. */
-    std::string serialize() const;
-
-    /** Strict parse of serialize() output. Returns false (with a
-     *  diagnostic in *error) on any malformed or torn line. */
-    static bool parse(const std::string &text, TableModel &out,
-                      std::string *error = nullptr);
-
-    /** Load from a file; FatalError with the parse diagnostic on
-     *  failure. */
-    static TableModel load(const std::string &path);
-
-  private:
-    TableBucket &bucketFor(uint32_t depth, uint32_t banks);
-
-    std::vector<TableBucket> table; ///< Sorted by (depth, banks).
-};
-
-/** The Analytic tier's fixed global rate vector. */
-EvalRates analyticRates();
-
-/**
- * The tiered evaluator. Stateless apart from the chosen tier and
- * (for Table) the rate model, so one instance is safely shared
- * across threads.
+ * The tiered evaluator. Stateless apart from the chosen tier, so one
+ * instance is safely shared across threads.
  */
 class Evaluator
 {
   public:
-    /** Cycle/Analytic evaluator; Table gets the builtin model. */
-    explicit Evaluator(EvalFidelity fidelity = EvalFidelity::Cycle);
-
-    /** Table evaluator over an explicit (e.g. freshly fitted or
-     *  loaded) model. */
-    Evaluator(EvalFidelity fidelity, TableModel table);
+    explicit Evaluator(EvalFidelity fidelity = EvalFidelity::Cycle)
+        : fid(fidelity)
+    {
+    }
 
     EvalFidelity fidelity() const { return fid; }
-    const TableModel &table() const { return tbl; }
 
     /**
      * Evaluate one program execution at this tier. Cycle steps the
-     * machine over `inputs`; the fast tiers return estimate() and
-     * never touch the input values (events on this machine are
+     * machine over `inputs`; Analytic returns estimate() and never
+     * touches the input values (events on this machine are
      * data-independent in count, only in value).
      */
     SimStats run(const CompiledProgram &prog,
                  const std::vector<double> &inputs,
                  SimOptions options = {}) const;
 
-    /** Static single-run estimate (fast tiers only; a Cycle
-     *  evaluator has nothing static to say — FatalError). */
+    /** Static single-run estimate (Analytic only; a Cycle evaluator
+     *  has nothing static to say — FatalError). */
     SimStats estimate(const CompiledProgram &prog) const;
 
     /** Transfer-inclusive single-run estimate: estimate() with
@@ -260,7 +144,6 @@ class Evaluator
 
   private:
     EvalFidelity fid;
-    TableModel tbl;
 };
 
 } // namespace dpu

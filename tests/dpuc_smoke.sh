@@ -9,7 +9,8 @@
 # optional third gets the verifier-CLI checks (clean program -> 0,
 # corrupt file -> 1, bad flag -> 2); the optional fourth gets the
 # serving-bench QoS flag checks (--priority-mix/--deadline-us/
-# --queue-depth strict validation); the optional fifth gets the
+# --queue-depth strict validation) plus a --fidelity check of the
+# fig12_pareto binary beside it; the optional fifth gets the
 # micro-benchmark --threads validation.
 set -u
 
@@ -168,27 +169,30 @@ if [ -n "$DSE" ]; then
     check 2 "dse_sweep --threads=0" "$DSE" --quick --threads=0
     check 2 "dse_sweep --scale junk" "$DSE" --quick --scale=big
 
-    # Evaluation-fidelity tiers: every valid tier name is accepted,
-    # anything else is an invalid option value (exit 2), and --refine
-    # without a fast tier is a usage error (exit 1).
+    # Evaluation-fidelity tiers: both tier names are accepted,
+    # anything else (including the removed "table" tier) is an invalid
+    # option value (exit 2), and the removed refinement and table
+    # flags are unknown options (exit 1).
     check 0 "dse_sweep --fidelity=cycle" \
         "$DSE" --quick --axes="$AXES" --fidelity=cycle
-    check 0 "dse_sweep --fidelity=table" \
-        "$DSE" --quick --axes="$AXES" --fidelity=table
     check 0 "dse_sweep --fidelity=analytic" \
         "$DSE" --quick --axes="$AXES" --fidelity=analytic
-    check 0 "dse_sweep --fidelity=analytic --refine" \
-        "$DSE" --quick --axes="$AXES" --fidelity=analytic --refine
     check 2 "dse_sweep --fidelity unknown tier" \
         "$DSE" --quick --fidelity=bogus
+    check 2 "dse_sweep --fidelity=table (removed tier)" \
+        "$DSE" --quick --fidelity=table
+    grep -q "cycle or analytic" "$TMP/err" || {
+        echo "FAIL: --fidelity=table message does not list the tiers"
+        fails=$((fails + 1))
+    }
     check 2 "dse_sweep --fidelity empty" \
         "$DSE" --quick --fidelity=
     check 2 "dse_sweep --fidelity case-sensitive" \
         "$DSE" --quick --fidelity=Cycle
-    check 2 "dse_sweep --refine-error out of range" \
-        "$DSE" --quick --fidelity=table --refine --refine-error=1.0
-    check 1 "dse_sweep --refine with cycle fidelity" \
-        "$DSE" --quick --refine
+    check 1 "dse_sweep --refine (removed)" "$DSE" --quick --refine
+    check 1 "dse_sweep --refine-error (removed)" \
+        "$DSE" --quick --refine-error=0.1
+    check 1 "dse_sweep --table (removed)" "$DSE" --quick --table=x
 
     # Fleet axes: --ranks/--xfer-gbps follow the same strict contract.
     check 0 "dse_sweep fleet axes --quick" \
@@ -278,6 +282,10 @@ if [ -n "$SERVE" ]; then
         "$SERVE" --quick --fidelity=bogus
     check 2 "serve --fidelity empty" \
         "$SERVE" --quick --fidelity=
+    # fig12_pareto is built next to serve_latency from the same bench
+    # harness; the removed "table" tier is an invalid value there too.
+    check 2 "fig12_pareto --fidelity=table (removed tier)" \
+        "$(dirname "$SERVE")/fig12_pareto" --quick --fidelity=table
     check 1 "serve unknown flag still exit 1" \
         "$SERVE" --quick --no-such-flag
 

@@ -412,23 +412,18 @@ TEST(DseJournal, PointLineRoundTripsExactly)
 
 TEST(DseJournal, FastTierPointLineRoundTrips)
 {
-    // Fast-tier points journal their fidelity tag and survive a
+    // Analytic points journal their fidelity tag and survive a
     // parse/re-serialize cycle byte for byte, exactly like cycle
     // points.
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        DsePoint p = goldenPoint();
-        p.fidelity = f;
-        std::string line = dseJournalPointLine(7, p);
-        EXPECT_NE(line.find(std::string("\"fidelity\": \"") +
-                            fidelityName(f) + "\""),
-                  std::string::npos);
-        size_t index = 0;
-        DsePoint parsed;
-        ASSERT_TRUE(parseDseJournalPointLine(line, index, parsed));
-        EXPECT_EQ(parsed.fidelity, f);
-        EXPECT_EQ(dseJournalPointLine(7, parsed), line);
-    }
+    DsePoint p = goldenPoint();
+    p.fidelity = EvalFidelity::Analytic;
+    std::string line = dseJournalPointLine(7, p);
+    EXPECT_NE(line.find("\"fidelity\": \"analytic\""), std::string::npos);
+    size_t index = 0;
+    DsePoint parsed;
+    ASSERT_TRUE(parseDseJournalPointLine(line, index, parsed));
+    EXPECT_EQ(parsed.fidelity, EvalFidelity::Analytic);
+    EXPECT_EQ(dseJournalPointLine(7, parsed), line);
 }
 
 TEST(DseJournal, FleetFieldsRoundTrip)
@@ -490,14 +485,17 @@ TEST(DseJournal, UnknownFidelityNameIsRejected)
 {
     // A *present but unrecognized* tier name is a torn or foreign
     // line, not a default: the parser must refuse it so the sweep
-    // recomputes that point instead of mislabeling it.
-    std::string line = dseJournalPointLine(3, goldenPoint());
-    size_t at = line.find("\"cycle\"");
-    ASSERT_NE(at, std::string::npos);
-    line.replace(at, 7, "\"exact\"");
-    size_t index = 0;
-    DsePoint p;
-    EXPECT_FALSE(parseDseJournalPointLine(line, index, p));
+    // recomputes that point instead of mislabeling it. "table" names
+    // a removed tier; journals that carry it fall under this rule.
+    for (const char *name : {"\"exact\"", "\"table\""}) {
+        std::string line = dseJournalPointLine(3, goldenPoint());
+        size_t at = line.find("\"cycle\"");
+        ASSERT_NE(at, std::string::npos);
+        line.replace(at, 7, name);
+        size_t index = 0;
+        DsePoint p;
+        EXPECT_FALSE(parseDseJournalPointLine(line, index, p)) << name;
+    }
 }
 
 TEST(DseJournal, ParserRejectsTornAndForeignLines)
@@ -591,6 +589,59 @@ TEST(DseSweep, ResumeRefusesToOverwriteANonJournalFile)
     std::string kept((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(kept, precious); // untouched
+    std::remove(path.c_str());
+}
+
+TEST(DseSweep, TableTaggedJournalLineIsRecomputedOnResume)
+{
+    // A journal written while the Table tier existed may carry
+    // "table" lines. The parser rejects the unknown tier name, so a
+    // resume recomputes exactly those points and the final journal
+    // matches a fresh sweep byte for byte.
+    std::string path = ::testing::TempDir() + "dse_table_tag.jsonl";
+    DseSweepOptions o; // the dse_sweep --quick grid, Cycle tier
+    o.space.depths = {1, 2};
+    o.space.banks = {8, 16};
+    o.space.regs = {16, 32};
+    o.space.workloadScale = 0.05;
+    o.journalPath = path;
+    DseSweepResult fresh = runDseSweep(o);
+    ASSERT_EQ(fresh.points.size(), 8u);
+    auto slurp = [&path] {
+        std::ifstream in(path);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string reference = slurp();
+
+    // Re-tag point 5 (line 6, after the header) as "table".
+    const size_t retagged = 5;
+    std::string text = reference;
+    size_t begin = 0;
+    for (size_t line = 0; line <= retagged; ++line)
+        begin = text.find('\n', begin) + 1;
+    const std::string tag = "\"fidelity\": \"cycle\"";
+    size_t at = text.find(tag, begin);
+    ASSERT_LT(at, text.find('\n', begin)); // inside that line
+    text.replace(at, tag.size(), "\"fidelity\": \"table\"");
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << text;
+    }
+
+    o.resume = true;
+    o.shards = 8; // one point per shard: reports name what ran
+    DseSweepResult resumed = runDseSweep(o);
+    EXPECT_EQ(resumed.resumedPoints, 7u);
+    EXPECT_EQ(resumed.cycleEvaluatedPoints, 1u);
+    ASSERT_EQ(resumed.shardReports.size(), 8u);
+    for (size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(resumed.shardReports[i].evaluated,
+                  i == retagged ? 1u : 0u)
+            << "point " << i;
+        expectIdentical(resumed.points[i], fresh.points[i]);
+    }
+    EXPECT_EQ(slurp(), reference);
     std::remove(path.c_str());
 }
 

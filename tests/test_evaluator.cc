@@ -3,17 +3,13 @@
  * Tests for the tiered evaluator (model/evaluator.hh):
  *
  *   - tier-name round trip and strict parsing;
- *   - TableModel serialize/parse byte round trip, strict rejection
- *     of malformed tables, builtin-table sanity;
- *   - static exactness of the fast tiers: cycles, instruction mix,
+ *   - static exactness of the Analytic tier: cycles, instruction mix,
  *     memory traffic and instruction bits match the cycle-accurate
  *     machine exactly; batch wall cycles match BatchMachine;
- *   - cross-validation: Table/Analytic latency is *exact* and energy
- *     stays within the declared relative-error envelope of Cycle
- *     across the workload suite (the contract evalErrorBounds
- *     declares and README documents);
- *   - the refinement interval-domination predicates and survivor
- *     selection (model/dse.hh) on hand-built point sets.
+ *   - cross-validation: Analytic latency is *exact* and energy stays
+ *     within the declared relative-error envelope of Cycle across the
+ *     workload suite (the contract evalErrorBounds declares and
+ *     README documents).
  */
 
 #include <gtest/gtest.h>
@@ -52,16 +48,6 @@ config(uint32_t depth, uint32_t banks, uint32_t regs)
     return c;
 }
 
-DsePoint
-pointOf(double latency, double energy, double area)
-{
-    DsePoint p;
-    p.latencyPerOpNs = latency;
-    p.energyPerOpPj = energy;
-    p.areaMm2 = area;
-    return p;
-}
-
 // ---------------------------------------------------------------- //
 // Names and envelopes.                                             //
 // ---------------------------------------------------------------- //
@@ -83,6 +69,7 @@ TEST(Fidelity, ParseIsStrict)
     EXPECT_FALSE(parseFidelityName("Cycle", f));   // case-sensitive
     EXPECT_FALSE(parseFidelityName("cycles", f));  // no prefixes
     EXPECT_FALSE(parseFidelityName("tab", f));
+    EXPECT_FALSE(parseFidelityName("table", f)); // a removed tier
     EXPECT_FALSE(parseFidelityName("exact", f));
     EXPECT_FALSE(parseFidelityName(nullptr, f));
 }
@@ -90,125 +77,17 @@ TEST(Fidelity, ParseIsStrict)
 TEST(Fidelity, DeclaredEnvelopes)
 {
     // Latency is exact by construction at every tier; Cycle is ground
-    // truth; the Table model must be declared at least as tight as
-    // the uncalibrated Analytic tier.
+    // truth; Analytic declares a nonzero energy envelope.
     for (size_t i = 0; i < kNumFidelities; ++i)
         EXPECT_EQ(evalErrorBounds(static_cast<EvalFidelity>(i))
                       .latencyRel,
                   0.0);
     EXPECT_EQ(evalErrorBounds(EvalFidelity::Cycle).energyRel, 0.0);
-    EXPECT_GT(evalErrorBounds(EvalFidelity::Table).energyRel, 0.0);
-    EXPECT_LE(evalErrorBounds(EvalFidelity::Table).energyRel,
-              evalErrorBounds(EvalFidelity::Analytic).energyRel);
+    EXPECT_GT(evalErrorBounds(EvalFidelity::Analytic).energyRel, 0.0);
 }
 
 // ---------------------------------------------------------------- //
-// TableModel serialization.                                        //
-// ---------------------------------------------------------------- //
-
-TEST(TableModel, BuiltinIsFitted)
-{
-    TableModel m = TableModel::builtin();
-    ASSERT_FALSE(m.empty());
-    for (const TableBucket &b : m.buckets()) {
-        EXPECT_GE(b.depth, 1u);
-        EXPECT_GE(b.banks, 8u);
-        EXPECT_GT(b.samples, 0u);
-        // pe_ops is statically exact (the driver *is* the counter),
-        // so every fitted bucket must carry rate 1.
-        EXPECT_DOUBLE_EQ(
-            b.rate(static_cast<size_t>(EvalEvent::PeOperations)), 1.0);
-    }
-}
-
-TEST(TableModel, SerializeParseRoundTripsBytes)
-{
-    TableModel m = TableModel::builtin();
-    std::string text = m.serialize();
-    TableModel back;
-    std::string error;
-    ASSERT_TRUE(TableModel::parse(text, back, &error)) << error;
-    EXPECT_EQ(back.serialize(), text);
-    EXPECT_EQ(back.size(), m.size());
-}
-
-TEST(TableModel, FittedModelRoundTrips)
-{
-    // A freshly fitted model (not the builtin constants) must also
-    // survive serialize -> parse -> serialize byte-identically.
-    TableModel m;
-    const WorkloadSpec &spec = findWorkload("nltcs");
-    for (uint32_t depth : {1u, 2u}) {
-        ArchConfig cfg = config(depth, 8, 64);
-        Dag dag;
-        CompiledProgram prog =
-            compileWorkload(spec, 0.4, cfg, CompileOptions{}, nullptr,
-                            &dag);
-        SimStats measured =
-            Machine(prog).run(randomInputs(dag, 3)).stats;
-        m.addCalibration(cfg, prog.stats, measured);
-    }
-    ASSERT_EQ(m.size(), 2u);
-    TableModel back;
-    ASSERT_TRUE(TableModel::parse(m.serialize(), back, nullptr));
-    EXPECT_EQ(back.serialize(), m.serialize());
-}
-
-TEST(TableModel, ParseRejectsMalformedTables)
-{
-    TableModel out;
-    std::string error;
-    EXPECT_FALSE(TableModel::parse("", out, &error));
-    EXPECT_FALSE(TableModel::parse("{\"eval_table\": 2}\n", out,
-                                   &error));
-    // Header bucket count must match the body.
-    EXPECT_FALSE(
-        TableModel::parse("{\"eval_table\": 1, \"buckets\": 2}\n"
-                          "{\"depth\": 1, \"banks\": 8, \"samples\": "
-                          "1, \"pe_ops\": 1, \"pe_pass\": 0, \"xbar\": "
-                          "1, \"bank_reads\": 1, \"bank_writes\": 1}\n",
-                          out, &error));
-    // Torn tail line.
-    std::string good = TableModel::builtin().serialize();
-    EXPECT_FALSE(TableModel::parse(
-        good.substr(0, good.size() - 10), out, &error));
-}
-
-TEST(TableModel, EmptyTableFallsBackToAnalytic)
-{
-    TableModel empty;
-    EvalRates r = empty.ratesFor(config(2, 16, 64));
-    EvalRates a = analyticRates();
-    for (size_t e = 0; e < kNumEvalEvents; ++e)
-        EXPECT_DOUBLE_EQ(r[e], a[e]);
-}
-
-TEST(TableModel, RatesInterpolateInBanks)
-{
-    TableModel m = TableModel::builtin();
-    // Between two fitted banks columns the rate must lie between the
-    // bracketing cells (linear in log2(banks)); outside, clamp.
-    size_t xbar = static_cast<size_t>(EvalEvent::CrossbarTransfers);
-    double at8 = m.ratesFor(config(2, 8, 64))[xbar];
-    double at16 = m.ratesFor(config(2, 16, 64))[xbar];
-    double mid = m.ratesFor(config(2, 8, 64))[xbar]; // exact cell
-    EXPECT_GT(at8, 0.0);
-    EXPECT_GT(at16, 0.0);
-    EXPECT_DOUBLE_EQ(mid, at8);
-    double lo = std::min(at8, at16), hi = std::max(at8, at16);
-    // banks = 8 and 16 are adjacent fitted columns; any banks value
-    // between them interpolates; 2 clamps to the 8-column.
-    double clamped = m.ratesFor(config(2, 2, 64))[xbar];
-    EXPECT_DOUBLE_EQ(clamped, at8);
-    double beyond = m.ratesFor(config(2, 1024, 64))[xbar];
-    double at32 = m.ratesFor(config(2, 32, 64))[xbar];
-    EXPECT_DOUBLE_EQ(beyond, at32);
-    (void)lo;
-    (void)hi;
-}
-
-// ---------------------------------------------------------------- //
-// Static exactness of the fast tiers.                              //
+// Static exactness of the Analytic tier.                           //
 // ---------------------------------------------------------------- //
 
 TEST(Evaluator, EstimateMatchesMachineExactly)
@@ -221,23 +100,19 @@ TEST(Evaluator, EstimateMatchesMachineExactly)
                                            &dag);
     SimStats sim = Machine(prog).run(randomInputs(dag, 11)).stats;
 
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        Evaluator ev(f);
-        SimStats est = ev.estimate(prog);
-        // The statically exact fields must match the machine bit for
-        // bit — this is what makes fast-tier latency exact.
-        EXPECT_EQ(est.cycles, sim.cycles) << fidelityName(f);
-        EXPECT_EQ(est.kindCount, sim.kindCount);
-        EXPECT_EQ(est.memReads, sim.memReads);
-        EXPECT_EQ(est.memWrites, sim.memWrites);
-        EXPECT_EQ(est.instrBitsFetched, sim.instrBitsFetched);
-        // The five estimated counters must be in the right ballpark
-        // (nonzero whenever the real counter is).
-        EXPECT_GT(est.peOperations, 0u);
-        EXPECT_GT(est.bankReads, 0u);
-        EXPECT_GT(est.bankWrites, 0u);
-    }
+    SimStats est = Evaluator(EvalFidelity::Analytic).estimate(prog);
+    // The statically exact fields must match the machine bit for bit
+    // — this is what makes Analytic latency exact.
+    EXPECT_EQ(est.cycles, sim.cycles);
+    EXPECT_EQ(est.kindCount, sim.kindCount);
+    EXPECT_EQ(est.memReads, sim.memReads);
+    EXPECT_EQ(est.memWrites, sim.memWrites);
+    EXPECT_EQ(est.instrBitsFetched, sim.instrBitsFetched);
+    // The five estimated counters must be in the right ballpark
+    // (nonzero whenever the real counter is).
+    EXPECT_GT(est.peOperations, 0u);
+    EXPECT_GT(est.bankReads, 0u);
+    EXPECT_GT(est.bankWrites, 0u);
 }
 
 TEST(Evaluator, CycleTierWrapsMachineRun)
@@ -314,11 +189,11 @@ TEST(Evaluator, EstimateBatchScalesCounters)
 TEST(CrossValidation, FastTiersHonorDeclaredEnvelopes)
 {
     // Suite-averaged DSE metrics per design point — the quantity the
-    // envelopes are declared over (and the one refinement relies on).
+    // envelope is declared over.
     const std::vector<WorkloadSpec> suite = smallSuite();
     const double scale = 0.03;
-    const Evaluator table(EvalFidelity::Table);
     const Evaluator analytic(EvalFidelity::Analytic);
+    const EvalErrorBounds bounds = evalErrorBounds(EvalFidelity::Analytic);
 
     for (const ArchConfig &cfg :
          {config(1, 8, 64), config(2, 16, 32), config(3, 32, 64),
@@ -326,169 +201,19 @@ TEST(CrossValidation, FastTiersHonorDeclaredEnvelopes)
         DsePoint cyc =
             evaluateDesign(cfg, suite, scale, 1, 1, nullptr);
         ASSERT_TRUE(cyc.feasible) << cfg.label();
-        for (const Evaluator *ev : {&table, &analytic}) {
-            DsePoint fast = evaluateDesign(cfg, suite, scale, 1, 1,
-                                           nullptr, nullptr, ev);
-            EvalErrorBounds bounds = evalErrorBounds(ev->fidelity());
-            ASSERT_TRUE(fast.feasible);
-            EXPECT_EQ(fast.fidelity, ev->fidelity());
-            // Latency: exact, not just within an envelope.
-            EXPECT_DOUBLE_EQ(fast.latencyPerOpNs, cyc.latencyPerOpNs)
-                << cfg.label() << " " << fidelityName(ev->fidelity());
-            EXPECT_DOUBLE_EQ(fast.areaMm2, cyc.areaMm2);
-            double energy_err =
-                std::abs(fast.energyPerOpPj - cyc.energyPerOpPj) /
-                cyc.energyPerOpPj;
-            EXPECT_LE(energy_err, bounds.energyRel)
-                << cfg.label() << " " << fidelityName(ev->fidelity());
-        }
+        DsePoint fast = evaluateDesign(cfg, suite, scale, 1, 1, nullptr,
+                                       nullptr, &analytic);
+        ASSERT_TRUE(fast.feasible);
+        EXPECT_EQ(fast.fidelity, EvalFidelity::Analytic);
+        // Latency: exact, not just within an envelope.
+        EXPECT_DOUBLE_EQ(fast.latencyPerOpNs, cyc.latencyPerOpNs)
+            << cfg.label();
+        EXPECT_DOUBLE_EQ(fast.areaMm2, cyc.areaMm2);
+        double energy_err =
+            std::abs(fast.energyPerOpPj - cyc.energyPerOpPj) /
+            cyc.energyPerOpPj;
+        EXPECT_LE(energy_err, bounds.energyRel) << cfg.label();
     }
-}
-
-// ---------------------------------------------------------------- //
-// Refinement interval domination (model/dse.hh).                   //
-// ---------------------------------------------------------------- //
-
-TEST(RefineDomination, CertainImpliesMaybe)
-{
-    DsePoint a = pointOf(1.0, 10.0, 1.0);
-    DsePoint b = pointOf(2.0, 20.0, 1.5);
-    for (double err : {0.0, 0.05, 0.2}) {
-        if (dseCertainlyDominates(a, b, err)) {
-            EXPECT_TRUE(dseMaybeDominates(a, b, err));
-        }
-    }
-    EXPECT_TRUE(dseCertainlyDominates(a, b, 0.1));
-    EXPECT_FALSE(dseCertainlyDominates(b, a, 0.1));
-    EXPECT_FALSE(dseMaybeDominates(b, a, 0.1)); // worse lat and area
-}
-
-TEST(RefineDomination, CloseEnergiesAreUncertain)
-{
-    // Same latency and area, energies 5% apart: a 10% error bound
-    // cannot decide the pair in either direction.
-    DsePoint a = pointOf(1.0, 10.0, 1.0);
-    DsePoint b = pointOf(1.0, 10.5, 1.0);
-    EXPECT_TRUE(dseMaybeDominates(a, b, 0.10));
-    EXPECT_TRUE(dseMaybeDominates(b, a, 0.10));
-    EXPECT_FALSE(dseCertainlyDominates(a, b, 0.10));
-    EXPECT_FALSE(dseCertainlyDominates(b, a, 0.10));
-    // With err = 0 the intervals collapse and a dominates for sure.
-    EXPECT_TRUE(dseCertainlyDominates(a, b, 0.0));
-    EXPECT_FALSE(dseMaybeDominates(b, a, 0.0));
-}
-
-TEST(RefineDomination, ExactTieNeverDominates)
-{
-    DsePoint a = pointOf(1.0, 10.0, 1.0);
-    DsePoint b = pointOf(1.0, 10.0, 1.0);
-    EXPECT_FALSE(dseCertainlyDominates(a, b, 0.0));
-    EXPECT_FALSE(dseMaybeDominates(a, b, 0.0));
-    // With error, a *could* strictly dominate b — uncertain pair.
-    EXPECT_TRUE(dseMaybeDominates(a, b, 0.05));
-    EXPECT_FALSE(dseCertainlyDominates(a, b, 0.05));
-}
-
-TEST(RefineDomination, InfeasibleNeverParticipates)
-{
-    DsePoint a = pointOf(1.0, 10.0, 1.0);
-    DsePoint bad = pointOf(9.0, 99.0, 9.0);
-    bad.feasible = false;
-    EXPECT_FALSE(dseMaybeDominates(a, bad, 0.1));
-    EXPECT_FALSE(dseMaybeDominates(bad, a, 0.1));
-    EXPECT_FALSE(dseCertainlyDominates(a, bad, 0.1));
-}
-
-TEST(RefineSurvivors, WellSeparatedPointsNeedNoCycleEvals)
-{
-    // Latency/area incomparable points (the typical DSE trade-off
-    // curve): every membership decision is certain from the exact
-    // metrics alone, so the survivor set is empty.
-    std::vector<DsePoint> pts = {
-        pointOf(4.0, 10.0, 1.0),
-        pointOf(2.0, 12.0, 1.3),
-        pointOf(1.0, 15.0, 1.8),
-    };
-    EXPECT_TRUE(dseRefineSurvivors(pts, 0.10).empty());
-}
-
-TEST(RefineSurvivors, UncertainPairContaminatesBothEnds)
-{
-    std::vector<DsePoint> pts = {
-        pointOf(1.0, 10.0, 1.0), // close pair, comparable lat/area
-        pointOf(1.5, 10.2, 1.0),
-        pointOf(0.5, 30.0, 2.0), // far away on its own curve
-    };
-    std::vector<size_t> s = dseRefineSurvivors(pts, 0.10);
-    ASSERT_EQ(s.size(), 2u);
-    EXPECT_EQ(s[0], 0u);
-    EXPECT_EQ(s[1], 1u);
-}
-
-TEST(RefineSurvivors, CertainDominationEliminatesWithoutCycleEvals)
-{
-    std::vector<DsePoint> pts = {
-        pointOf(1.0, 10.0, 1.0),
-        pointOf(1.5, 20.0, 1.0), // dominated by >2x the envelope
-    };
-    EXPECT_TRUE(dseRefineSurvivors(pts, 0.10).empty());
-}
-
-// ---------------------------------------------------------------- //
-// Refined sweep reproduces the cycle-accurate frontier.            //
-// ---------------------------------------------------------------- //
-
-TEST(RefineSweep, FrontierMatchesCycleSweepAtReducedCost)
-{
-    // The --quick grid of tools/dse_sweep: 8 points at scale 0.05
-    // over the default (small) suite. This is the grid the ISSUE's
-    // >=5x acceptance criterion is stated on.
-    DseSweepOptions base;
-    base.space.depths = {1, 2};
-    base.space.banks = {8, 16};
-    base.space.regs = {16, 32};
-    base.space.workloadScale = 0.05;
-
-    DseSweepOptions cycle = base;
-    DseSweepResult full = runDseSweep(cycle);
-
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        DseSweepOptions refined = base;
-        refined.fidelity = f;
-        refined.refine = true;
-        DseSweepResult r = runDseSweep(refined);
-        ASSERT_EQ(r.points.size(), full.points.size());
-
-        // Identical frontier membership — the refinement contract.
-        EXPECT_EQ(paretoFrontier(r.points),
-                  paretoFrontier(full.points))
-            << fidelityName(f);
-
-        // And at the promised cost: at least a 5x reduction in
-        // cycle-evaluated points vs the full cycle sweep.
-        EXPECT_LE(5 * r.cycleEvaluatedPoints, full.points.size())
-            << fidelityName(f);
-        EXPECT_EQ(r.fastEvaluatedPoints, full.points.size());
-        EXPECT_EQ(r.refineSurvivors, r.cycleEvaluatedPoints);
-
-        // Survivors carry cycle-exact values; the rest keep their
-        // fast fidelity tag.
-        size_t cycle_tagged = 0;
-        for (const DsePoint &p : r.points)
-            cycle_tagged += p.fidelity == EvalFidelity::Cycle;
-        EXPECT_EQ(cycle_tagged, r.refineSurvivors);
-    }
-}
-
-TEST(RefineSweep, CycleFidelityRefusesToRefine)
-{
-    DseSweepOptions opt;
-    opt.refine = true; // fidelity defaults to Cycle
-    opt.space.depths = {1};
-    opt.space.banks = {8};
-    opt.space.regs = {32};
-    EXPECT_THROW(runDseSweep(opt), FatalError);
 }
 
 } // namespace

@@ -9,8 +9,8 @@
  *
  *   - the default (free) transfer model charges exactly 0 everywhere,
  *     so every pre-fleet result is byte-identical;
- *   - transfer cost is statically computable, so all three evaluation
- *     tiers report the same transfer-inclusive cycle counts as the
+ *   - transfer cost is statically computable, so the Analytic tier
+ *     reports the same transfer-inclusive cycle counts as the
  *     cycle-accurate machines;
  *   - per-request SimResults never depend on ranks, placement, or the
  *     transfer model — fleet accounting is batch-level only.
@@ -204,19 +204,14 @@ TEST(Fleet, EvaluatorTiersAgreeOnTransfer)
     opts.transfer = xfer;
     SimStats measured = Machine(prog, opts).run(inputs[0]).stats;
 
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        Evaluator ev(f);
-        SimStats est = ev.estimate(prog, xfer);
-        EXPECT_EQ(est.cycles, measured.cycles) << fidelityName(f);
-        EXPECT_EQ(est.transferCycles, measured.transferCycles)
-            << fidelityName(f);
+    Evaluator ev(EvalFidelity::Analytic);
+    SimStats est = ev.estimate(prog, xfer);
+    EXPECT_EQ(est.cycles, measured.cycles);
+    EXPECT_EQ(est.transferCycles, measured.transferCycles);
 
-        // run() honors SimOptions::transfer at every tier.
-        SimStats run_stats = ev.run(prog, inputs[0], opts);
-        EXPECT_EQ(run_stats.transferCycles, measured.transferCycles)
-            << fidelityName(f);
-    }
+    // run() honors SimOptions::transfer at every tier.
+    SimStats run_stats = ev.run(prog, inputs[0], opts);
+    EXPECT_EQ(run_stats.transferCycles, measured.transferCycles);
     SimStats cycle_run =
         Evaluator(EvalFidelity::Cycle).run(prog, inputs[0], opts);
     EXPECT_EQ(cycle_run.transferCycles, measured.transferCycles);
@@ -235,13 +230,10 @@ TEST(Fleet, EvaluatorTiersAgreeOnTransfer)
             EXPECT_EQ(Evaluator::batchTotalCycles(prog, runs, cores,
                                                   xfer),
                       br.totalWallCycles());
-            for (EvalFidelity f :
-                 {EvalFidelity::Table, EvalFidelity::Analytic}) {
-                SimStats est = Evaluator(f).estimateBatch(
-                    prog, runs, cores, xfer);
-                EXPECT_EQ(est.cycles, br.wallCycles);
-                EXPECT_EQ(est.transferCycles, br.transferCycles);
-            }
+            SimStats batch_est =
+                ev.estimateBatch(prog, runs, cores, xfer);
+            EXPECT_EQ(batch_est.cycles, br.wallCycles);
+            EXPECT_EQ(batch_est.transferCycles, br.transferCycles);
         }
     }
 }
@@ -444,20 +436,14 @@ TEST(Fleet, DseFleetAxesScaleThroughputNotLatency)
     EXPECT_GT(slow.transferPerOpNs, 0.0);
     EXPECT_LE(slow.transferPerOpNs, slow.latencyPerOpNs);
 
-    // Transfer-inclusive latency is exact at every tier: the fast
-    // tiers agree with the cycle-accurate point to the last bit.
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        Evaluator ev(f);
-        DsePoint fast = evaluateDesign(cfg, suite, 0.05, 1, 1,
-                                       nullptr, nullptr, &ev, 1,
-                                       xfer);
-        ASSERT_TRUE(fast.feasible);
-        EXPECT_DOUBLE_EQ(fast.latencyPerOpNs, slow.latencyPerOpNs)
-            << fidelityName(f);
-        EXPECT_DOUBLE_EQ(fast.transferPerOpNs, slow.transferPerOpNs)
-            << fidelityName(f);
-    }
+    // Transfer-inclusive latency is exact at every tier: the Analytic
+    // tier agrees with the cycle-accurate point to the last bit.
+    Evaluator ev(EvalFidelity::Analytic);
+    DsePoint fast = evaluateDesign(cfg, suite, 0.05, 1, 1, nullptr,
+                                   nullptr, &ev, 1, xfer);
+    ASSERT_TRUE(fast.feasible);
+    EXPECT_DOUBLE_EQ(fast.latencyPerOpNs, slow.latencyPerOpNs);
+    EXPECT_DOUBLE_EQ(fast.transferPerOpNs, slow.transferPerOpNs);
 }
 
 } // namespace

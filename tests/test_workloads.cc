@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "dag/algorithms.hh"
@@ -501,11 +503,22 @@ TEST(Suite, FileBackedWorkloadSolvesCorrectly)
 
 TEST(Suite, DiscoverMatrixFilesSortedAndFiltered)
 {
-    auto found = discoverMatrixFiles(DPU_DATA_DIR);
-    ASSERT_EQ(found.size(), 3u); // eval_table.json filtered out
-    EXPECT_TRUE(std::is_sorted(found.begin(), found.end()));
-    EXPECT_NE(found[0].find("chain16.mtx"), std::string::npos);
+    // Two .mtx files created in reverse name order (sorting), a JSON
+    // file (extension filter) and a directory named like a matrix
+    // (regular-file filter).
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "discover_mtx";
+    fs::remove_all(dir);
+    fs::create_directories(dir / "dir.mtx");
+    for (const char *name : {"b.mtx", "a.mtx", "notes.json"})
+        std::ofstream(dir / name) << "%%MatrixMarket\n";
+
+    auto found = discoverMatrixFiles(dir.string());
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_EQ(found[0], (dir / "a.mtx").string());
+    EXPECT_EQ(found[1], (dir / "b.mtx").string());
     EXPECT_TRUE(discoverMatrixFiles("/nonexistent/dir").empty());
+    fs::remove_all(dir);
 }
 
 TEST(SpTrsv, BatchInputsBitIdenticalToSingle)
